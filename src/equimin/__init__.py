@@ -17,7 +17,6 @@ from .symgroup import (
 )
 from .nullgeom import (
     NullVector,
-    ProjectiveNullPoint,
     QuadricFlowGenerator,
     quadratic_form,
     is_null,

@@ -21,10 +21,10 @@ import numpy as np
 
 from .domain import DomainError, PathError, build_path_system
 from .gallery import GALLERY
-from .periods import (QUAD_TOL, PeriodTarget, compute_periods,
-                      period_residuals, QuadratureError)
+from .periods import (PeriodTarget, compute_periods, period_residuals,
+                      QuadratureError)
 from .solver import (NewtonConfig, NewtonError, SprayError, build_period_spray,
-                     feasibility_check, newton_correct, period_jacobian)
+                     feasibility_check, newton_correct)
 from .surface import (ImmersionField, PolarGrid, RectGrid, SurfaceError,
                       conformality_and_harmonicity, curvature,
                       equivariance_residual_F, fixed_point_alignment,
@@ -177,8 +177,7 @@ def _solve_pipeline(cfg: RunConfig, entry):
     paths = build_path_system(data.domain, data.domain_action, data.basepoint)
     target = _target(cfg, entry, data, paths)
     flux_keys = tuple(cfg.flux) if cfg.flux else ()
-    spray = build_period_spray(data, paths, flux_keys=flux_keys,
-                               feasibility=feas)
+    spray = build_period_spray(data, paths, flux_keys=flux_keys)
     result = newton_correct(spray, target=target,
                             config=NewtonConfig(tol=cfg.tol))
     return paths, target, result, feas
@@ -259,12 +258,12 @@ def _solved_data(cfg: RunConfig, entry):
     paths, target, result, feas = _solve_pipeline(cfg, entry)
     if result is None:
         raise SprayError("infeasible data")
-    return paths, target, result
+    return paths, target, result, feas
 
 
 def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
     entry = _entry(cfg)
-    paths, target, result = _solved_data(cfg, entry)
+    paths, target, result, feas = _solved_data(cfg, entry)
     # fresh seed offset: verification never reuses the solve's samples
     battery = residual_battery(result.data, paths, target, cfg.seed + 1000)
     field = ImmersionField(result.data)
@@ -277,7 +276,6 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
     # motions shift the axis, so the value need not sit on it
     pairs = ()
     if data.space_action.orthogonal:
-        feas = feasibility_check(data.domain_action, data.space_action)
         pairs = tuple((r, c) for r, c in feas.entries
                       if isinstance(c, PlaneRotationCertificate))
     fp = fixed_point_alignment(field, pairs)
@@ -322,7 +320,7 @@ def _probe_points(entry):
 
 def cmd_export(cfg: RunConfig, out_dir: str) -> int:
     entry = _entry(cfg)
-    paths, target, result = _solved_data(cfg, entry)
+    _, _, result, _ = _solved_data(cfg, entry)
     field = ImmersionField(result.data)
     grid = entry.default_grid
     if isinstance(grid, PolarGrid):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -471,9 +471,6 @@ class InvariantOneForm:
         z = np.asarray(z, dtype=complex)
         return self.c * z ** self.m
 
-    def zero_divisor(self) -> list[tuple[complex, int]]:
-        return [(0j, self.m)] if self.m > 0 else []
-
     def pullback_residual(self, action: DomainAction, n_samples: int = 64,
                           seed: int = 7) -> float:
         """max over samples and elements of |theta(gz) g'(z) - theta(z)|,
@@ -552,9 +549,6 @@ class PathSystem:
     loops: tuple[LoopEntry, ...]
     connectors: tuple[ConnectorEntry, ...]
     margin: float = PATH_MARGIN
-
-    def all_paths(self):
-        return [e.path for e in self.loops] + [e.path for e in self.connectors]
 
 
 def _safe_loop_radius(p: complex, others, fixed_pts, domain: PlanarDomain) -> float:
@@ -687,46 +681,3 @@ def build_path_system(domain: PlanarDomain, action: DomainAction,
                                          generator=pos))
     return PathSystem(basepoint=basepoint, loops=tuple(loops),
                       connectors=tuple(connectors), margin=margin)
-
-
-# ---------------------------------------------------------------------------
-# JSON descriptions
-
-
-def domain_to_json(domain: PlanarDomain) -> dict:
-    out = {"kind": domain.kind,
-           "punctures": [[p.real, p.imag] for p in domain.punctures]}
-    if domain.kind == "disk":
-        out["radius"] = domain.radius
-    if domain.kind == "annulus":
-        out["r_in"] = domain.r_in
-        out["r_out"] = domain.r_out
-    return out
-
-
-def domain_from_json(obj: dict) -> PlanarDomain:
-    kw = {}
-    if "radius" in obj:
-        kw["radius"] = float(obj["radius"])
-    if "r_in" in obj:
-        kw["r_in"] = float(obj["r_in"])
-    if "r_out" in obj:
-        kw["r_out"] = float(obj["r_out"])
-    punctures = tuple(complex(p[0], p[1]) for p in obj.get("punctures", []))
-    return PlanarDomain(kind=obj["kind"], punctures=punctures, **kw)
-
-
-def domain_action_to_json(action: DomainAction) -> dict:
-    from .symgroup import group_to_json
-    return {
-        "group": group_to_json(action.group),
-        "maps": [[[a.real, a.imag], [b.real, b.imag]] for a, b in action.maps],
-    }
-
-
-def domain_action_from_json(obj: dict, domain: PlanarDomain) -> DomainAction:
-    from .symgroup import group_from_json
-    group = group_from_json(obj["group"])
-    maps = tuple((complex(m[0][0], m[0][1]), complex(m[1][0], m[1][1]))
-                 for m in obj["maps"])
-    return DomainAction(group=group, domain=domain, maps=maps)

@@ -56,22 +56,6 @@ class NullVector:
         return float(np.linalg.norm(self.z))
 
 
-@dataclass(frozen=True)
-class ProjectiveNullPoint:
-    """Point of the projectivised quadric, scaled so the largest entry is 1."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=complex)
-        if np.max(np.abs(z)) < 1e-300:
-            raise QuadricError("cannot projectivise the zero vector")
-        if not is_null(z):
-            raise QuadricError("vector is not on the null quadric")
-        j = int(np.argmax(np.abs(z)))
-        object.__setattr__(self, "z", z / z[j])
-
-
 def retract_to_null(z: np.ndarray, tol: float = RETRACT_POST_TOL) -> NullVector:
     """Project a nearly null vector back onto the quadric.
 
@@ -136,33 +120,22 @@ class QuadricFlowGenerator:
         G[self.j, self.i] = 1.0
         return G
 
-    def transform(self, t: complex, n: int) -> np.ndarray:
-        """exp(t * generator), in closed form."""
-        if self.kind == "scaling":
-            return np.exp(t) * np.eye(n, dtype=complex)
-        M = np.eye(n, dtype=complex)
-        c, s = np.cos(t), np.sin(t)
-        M[self.i, self.i] = c
-        M[self.j, self.j] = c
-        M[self.i, self.j] = -s
-        M[self.j, self.i] = s
-        return M
-
     def label(self) -> str:
         if self.kind == "scaling":
             return "scale"
         return f"rot({self.i},{self.j})"
 
 
-def flow(gen: QuadricFlowGenerator, t: complex, z: np.ndarray) -> np.ndarray:
+def flow(gen: QuadricFlowGenerator, t, z: np.ndarray) -> np.ndarray:
     """Flow a vector (or a stack of column vectors) for complex time t.
 
-    Closed-form evaluation; flow(gen, 0, z) is the identity and
+    `t` is a scalar, or one time per column of `z`.  Closed-form
+    evaluation; flow(gen, 0, z) is the identity and
     flow(gen, s, flow(gen, t, z)) = flow(gen, s + t, z).
     """
     z = np.asarray(z, dtype=complex)
     if gen.kind == "scaling":
-        return np.exp(t) * z
+        return z * np.exp(t)
     out = z.copy()
     c, s = np.cos(t), np.sin(t)
     zi, zj = z[gen.i], z[gen.j]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import PathSystem, PathError, path_samples, min_distance
+from .domain import PathSystem, PathError, min_distance
 
 QUAD_TOL = 1e-11         # absolute tolerance per path integral
 MAX_INTERVALS = 4096

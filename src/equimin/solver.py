@@ -13,29 +13,28 @@ rather than bending it locally.
 
 from __future__ import annotations
 
-import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
 from .symgroup import PlaneRotationCertificate, Infeasible, find_invariant_rotation_plane
-from .domain import (PathSystem, ConnectorEntry, PathError, fixed_point_set,
-                     path_samples, min_distance, route_radial_angular)
-from .nullgeom import QuadricFlowGenerator, standard_generators
+from .domain import (PathSystem, ConnectorEntry, fixed_point_set, path_samples,
+                     route_radial_angular)
+from .nullgeom import QuadricFlowGenerator, flow, standard_generators
 from .wdata import WeierstrassData, cancellation_check
-from .periods import (QUAD_TOL, integrate_form, PeriodVector, PeriodTarget,
+from .periods import (integrate_form, PeriodVector, PeriodTarget,
                       period_residuals)
 
-SIGMA_TOL = 1e-6
-SNAP_TOL = 1e-6             # relative floor below which slot coefficients snap to 0          # period-domination gate on the t-Jacobian
+SIGMA_TOL = 1e-6          # period-domination gate on the t-Jacobian
+SNAP_TOL = 1e-6           # relative floor below which slot coefficients snap to 0
 SUPPORT_FRACTION = 0.35   # bump radius as a fraction of the free gap
 SPRAY_BALL = 0.5          # parameter ball on which spray invariants are sampled
 NEWTON_BALL = 4.0         # Newton may wander this far in ||t||_2
 BUMP_PENALTY = 1e4        # min-norm weighting: prefer global slots when present
+FD_STEP = 1e-6            # central-difference step of the period Jacobian
+DAMPING = 0.5             # line-search step shrink factor
 _CENTER_PARAMS = (0.31, 0.11, 0.51, 0.71, 0.91)
 _TRANSLATE_WINDOW = 8     # generator powers considered for infinite groups
 
@@ -131,20 +130,6 @@ class Slot:
     translates: tuple = ()        # ((differential matrix, translated center), ...)
 
 
-def _apply_flow_pointwise(gen: QuadricFlowGenerator, a, y):
-    """Apply exp(a * G) columnwise; `a` may vary per column."""
-    a = np.asarray(a, dtype=complex)
-    if gen.kind == "scaling":
-        return y * np.exp(a)[None, :]
-    c, s = np.cos(a), np.sin(a)
-    yi = y[gen.i].copy()
-    yj = y[gen.j].copy()
-    y = y.copy()
-    y[gen.i] = c * yi - s * yj
-    y[gen.j] = s * yi + c * yj
-    return y
-
-
 class DeformedMap:
     """Core map composed with the slots' flows at parameter t.
 
@@ -165,14 +150,12 @@ class DeformedMap:
         z = np.asarray(z, dtype=complex)
         scalar = z.ndim == 0
         zz = np.atleast_1d(z).ravel()
-        vals = self.base_map(zz) if callable(self.base_map) else self.base_map.eval(zz)
-        vals = np.array(vals, dtype=complex)
+        vals = np.array(self.base_map(zz), dtype=complex)
         for slot, tj in zip(self.slots, self.t):
             if tj == 0:
                 continue
             if slot.global_:
-                vals = _apply_flow_pointwise(slot.generator,
-                                             np.full(zz.shape, tj), vals)
+                vals = flow(slot.generator, tj, vals)
                 continue
             for A, c in slot.translates:
                 mask = np.abs(zz - c) < slot.radius
@@ -180,14 +163,11 @@ class DeformedMap:
                     continue
                 w = mollifier(np.abs(zz[mask] - c) / slot.radius)
                 y = np.linalg.solve(A, vals[:, mask])
-                y = _apply_flow_pointwise(slot.generator, tj * w, y)
+                y = flow(slot.generator, tj * w, y)
                 vals[:, mask] = A @ y
         if scalar:
             return vals[:, 0]
         return vals.reshape((vals.shape[0],) + np.atleast_1d(z).shape)
-
-    def eval(self, z):
-        return self(z)
 
     def pole_records(self):
         rec = getattr(self.base_map, "pole_records", None)
@@ -228,7 +208,6 @@ class SprayFamily:
     core: WeierstrassData
     paths: PathSystem
     slots: tuple
-    feasibility: FeasibilityReport | None = None
 
     @property
     def n_slots(self) -> int:
@@ -246,14 +225,10 @@ class SprayFamily:
             return self.core if v is None else self.core.with_f(self.core.f, v=v)
         return self.core.with_f(DeformedMap(self.core.f, self.slots, t), v=v)
 
-    def periods_at(self, t, keys=None, tol: float = QUAD_TOL) -> dict:
+    def periods_at(self, t, keys=None) -> dict:
         data = self.data_at(t)
-        out = {}
-        for kind, e in self.entries():
-            if keys is not None and e.key not in keys:
-                continue
-            out[e.key] = integrate_form(data, e.path, tol=tol)
-        return out
+        return {e.key: integrate_form(data, e.path)
+                for _, e in self.entries() if keys is None or e.key in keys}
 
     def dependencies(self) -> dict:
         """Slot index -> set of path keys whose periods it can move."""
@@ -272,36 +247,22 @@ class SprayFamily:
             dep[j] = keys
         return dep
 
-    def jacobian_columns(self, t, fd_step: float = 1e-6,
-                         tol: float = QUAD_TOL, base: dict | None = None) -> dict:
+    def jacobian_columns(self, t) -> dict:
         """d(period)/d(Re t_j) by central differences, as a dict
         path key -> (n, n_slots) complex block.  Periods depend
         holomorphically on t, so the Im t derivative is i times this."""
         t = np.asarray(t, dtype=complex)
-        n = self.core.dim
-        dep = self.dependencies()
-        all_keys = [e.key for _, e in self.entries()]
-        cols = {k: np.zeros((n, self.n_slots), dtype=complex) for k in all_keys}
-
-        def one_column(j):
-            keys = dep[j]
+        cols = {e.key: np.zeros((self.core.dim, self.n_slots), dtype=complex)
+                for _, e in self.entries()}
+        for j, keys in self.dependencies().items():
             if not keys:
-                return j, {}
-            tp = t.copy(); tp[j] += fd_step
-            tm = t.copy(); tm[j] -= fd_step
-            Pp = self.periods_at(tp, keys=keys, tol=tol)
-            Pm = self.periods_at(tm, keys=keys, tol=tol)
-            return j, {k: (Pp[k] - Pm[k]) / (2 * fd_step) for k in keys}
-
-        workers = int(os.environ.get("EQUIMIN_THREADS", "1") or "1")
-        if workers > 1 and self.n_slots > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(one_column, range(self.n_slots)))
-        else:
-            results = [one_column(j) for j in range(self.n_slots)]
-        for j, block in results:
-            for k, col in block.items():
-                cols[k][:, j] = col
+                continue
+            tp = t.copy(); tp[j] += FD_STEP
+            tm = t.copy(); tm[j] -= FD_STEP
+            Pp = self.periods_at(tp, keys=keys)
+            Pm = self.periods_at(tm, keys=keys)
+            for k in keys:
+                cols[k][:, j] = (Pp[k] - Pm[k]) / (2 * FD_STEP)
         return cols
 
     def loop_bases(self) -> dict:
@@ -343,12 +304,24 @@ def _pick_bump_geometry(core: WeierstrassData, path, avoid) -> tuple:
     return c, translates, radius
 
 
-def _candidate_column(core, slot, path, fd_step=1e-6, tol=QUAD_TOL):
-    data_p = core.with_f(DeformedMap(core.f, [slot], [fd_step]))
-    data_m = core.with_f(DeformedMap(core.f, [slot], [-fd_step]))
-    Pp = integrate_form(data_p, path, tol=tol)
-    Pm = integrate_form(data_m, path, tol=tol)
-    return (Pp - Pm) / (2 * fd_step)
+def _candidate_column(core, slot, path):
+    data_p = core.with_f(DeformedMap(core.f, [slot], [FD_STEP]))
+    data_m = core.with_f(DeformedMap(core.f, [slot], [-FD_STEP]))
+    Pp = integrate_form(data_p, path)
+    Pm = integrate_form(data_m, path)
+    return (Pp - Pm) / (2 * FD_STEP)
+
+
+def _path_slots(core, key, path, avoid) -> list:
+    """One bump on `path`, with the n flow generators whose finite-difference
+    period columns rank first under pivoted QR."""
+    c, translates, radius = _pick_bump_geometry(core, path, avoid)
+    cands = [Slot(key=f"{key}:{gen.label()}", path_key=key, generator=gen,
+                  center=c, radius=radius, translates=translates)
+             for gen in standard_generators(core.dim)]
+    cols = np.column_stack([_candidate_column(core, s, path) for s in cands])
+    _, _, piv = scipy.linalg.qr(cols, pivoting=True)
+    return [cands[j] for j in piv[:core.dim]]
 
 
 def commutant_generators(core: WeierstrassData, tol: float = 1e-12) -> list:
@@ -367,8 +340,7 @@ def commutant_generators(core: WeierstrassData, tol: float = 1e-12) -> list:
 
 
 def build_period_spray(core: WeierstrassData, paths: PathSystem,
-                       flux_keys=(), slots_per_path: int | None = None,
-                       feasibility: FeasibilityReport | None = None) -> SprayFamily:
+                       flux_keys=()) -> SprayFamily:
     """Place bump slots on every loop and connector path.
 
     Per path: one bump, with flow generators ranked by pivoted QR of
@@ -380,8 +352,6 @@ def build_period_spray(core: WeierstrassData, paths: PathSystem,
     rep = cancellation_check(core)
     if not rep.ok:
         raise SprayError(f"core fails the cancellation check: {rep.detail}")
-    n = core.dim
-    want = slots_per_path if slots_per_path is not None else n
     entries = [("loop", e) for e in paths.loops] + \
               [("conn", e) for e in paths.connectors]
     slots = []
@@ -397,22 +367,11 @@ def build_period_spray(core: WeierstrassData, paths: PathSystem,
                 raise SprayError(
                     "insufficient independent directions: core image along "
                     f"path {e.key} lies in a single null ray")
-            c, translates, radius = _pick_bump_geometry(core, e.path, avoid)
-            cands = []
-            for gen in standard_generators(n):
-                slot = Slot(key=f"{e.key}:{gen.label()}", path_key=e.key,
-                            generator=gen, center=c, radius=radius,
-                            translates=translates)
-                cands.append(slot)
-            cols = np.column_stack([
-                _candidate_column(core, s, e.path) for s in cands])
-            _, _, piv = scipy.linalg.qr(cols, pivoting=True)
-            slots.extend(cands[j] for j in piv[:want])
+            slots.extend(_path_slots(core, e.key, e.path, avoid))
     for gen in (commutant_generators(core) if flux_keys else []):
         slots.append(Slot(key=f"global:{gen.label()}", path_key=None,
                           generator=gen, global_=True))
-    return SprayFamily(core=core, paths=paths, slots=tuple(slots),
-                       feasibility=feasibility)
+    return SprayFamily(core=core, paths=paths, slots=tuple(slots))
 
 
 def validate_spray(spray: SprayFamily, ball: float = SPRAY_BALL,
@@ -482,11 +441,10 @@ class PeriodJacobian:
         return float(self.sigma[p - 1])
 
 
-def period_jacobian(spray: SprayFamily, t=None, fd_step: float = 1e-6,
-                    tol: float = QUAD_TOL) -> PeriodJacobian:
+def period_jacobian(spray: SprayFamily, t=None) -> PeriodJacobian:
     t = np.zeros(spray.n_slots, dtype=complex) if t is None else \
         np.asarray(t, dtype=complex)
-    cols = spray.jacobian_columns(t, fd_step=fd_step, tol=tol)
+    cols = spray.jacobian_columns(t)
     bases = spray.loop_bases()
     rows = []
     labels = []
@@ -520,13 +478,9 @@ def period_jacobian(spray: SprayFamily, t=None, fd_step: float = 1e-6,
 class NewtonConfig:
     tol: float = 1e-10
     max_iters: int = 25
-    fd_step: float = 1e-6
-    damping: float = 0.5
-    ball: float = NEWTON_BALL
-    quad_tol: float = QUAD_TOL
 
     def __post_init__(self):
-        for name in ("tol", "max_iters", "fd_step", "damping", "ball", "quad_tol"):
+        for name in ("tol", "max_iters"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -614,7 +568,7 @@ def newton_correct(spray: SprayFamily, target: PeriodTarget | None = None,
     m = spray.n_slots
     if target is not None:
         target = target.validated(core, spray.paths)
-    jac0 = period_jacobian(spray, fd_step=cfg.fd_step, tol=cfg.quad_tol)
+    jac0 = period_jacobian(spray)
     if jac0.sigma_min < SIGMA_TOL:
         raise NewtonError(
             f"period domination failed: smallest singular value "
@@ -632,7 +586,7 @@ def newton_correct(spray: SprayFamily, target: PeriodTarget | None = None,
             if not slot.global_:
                 col_weight[j] = col_weight[m + j] = 1.0 / BUMP_PENALTY
 
-    periods = spray.periods_at(t, tol=cfg.quad_tol)
+    periods = spray.periods_at(t)
     r = _residual_vector(plan, periods, v)
     history = [float(np.max(np.abs(r))) if r.size else 0.0]
     iterations = 0
@@ -643,7 +597,7 @@ def newton_correct(spray: SprayFamily, target: PeriodTarget | None = None,
             if iterations >= cfg.max_iters:
                 raise NewtonError(f"no convergence in {cfg.max_iters} iterations "
                                   f"(residual {history[-1]:.3e})", history)
-            cols = spray.jacobian_columns(t, fd_step=cfg.fd_step, tol=cfg.quad_tol)
+            cols = spray.jacobian_columns(t)
             J = _jacobian_matrix(plan, cols, n, m)
             Jw = J * col_weight[None, :]
             y, *_ = np.linalg.lstsq(Jw, -r, rcond=None)
@@ -654,17 +608,17 @@ def newton_correct(spray: SprayFamily, target: PeriodTarget | None = None,
             for _ in range(9):
                 t_new = t + alpha * (delta[:m] + 1j * delta[m:2 * m])
                 v_new = v + alpha * delta[2 * m:]
-                periods_new = spray.periods_at(t_new, tol=cfg.quad_tol)
+                periods_new = spray.periods_at(t_new)
                 r_new = _residual_vector(plan, periods_new, v_new)
                 if float(np.linalg.norm(r_new)) < norm_r:
                     accepted = True
                     break
-                alpha *= cfg.damping
+                alpha *= DAMPING
             if not accepted:
                 raise NewtonError("step stalled: no damping factor reduced the "
                                   "residual", history)
             t, v, r, periods = t_new, v_new, r_new, periods_new
-            if float(np.linalg.norm(t)) > cfg.ball:
+            if float(np.linalg.norm(t)) > NEWTON_BALL:
                 raise NewtonError(f"parameter left the validity ball "
                                   f"(||t|| = {np.linalg.norm(t):.3f})", history)
             history.append(float(np.max(np.abs(r))) if r.size else 0.0)
@@ -689,7 +643,7 @@ def newton_correct(spray: SprayFamily, target: PeriodTarget | None = None,
             break
         best = (t, v, periods, r)
         t_try = np.where(snap, 0.0, t)
-        periods_try = spray.periods_at(t_try, tol=cfg.quad_tol)
+        periods_try = spray.periods_at(t_try)
         r_try = _residual_vector(plan, periods_try, v)
         history.append(float(np.max(np.abs(r_try))) if r_try.size else 0.0)
         t, periods, r = t_try, periods_try, r_try
@@ -770,14 +724,7 @@ def interpolate_values(spray: SprayFamily, marked_points, values,
         new_connectors.append(ConnectorEntry(key=key, path=path, generator=None,
                                              kind="marked", marked_point=p,
                                              marked_value=tuple(val)))
-        c, translates, radius = _pick_bump_geometry(core, path, avoid)
-        cands = [Slot(key=f"{key}:{gen.label()}", path_key=key, generator=gen,
-                      center=c, radius=radius, translates=translates)
-                 for gen in standard_generators(core.dim)]
-        cols = np.column_stack([_candidate_column(core, s, path) for s in cands])
-        _, _, piv = scipy.linalg.qr(cols, pivoting=True)
-        new_slots.extend(cands[j] for j in piv[:core.dim])
+        new_slots.extend(_path_slots(core, key, path, avoid))
     new_paths = replace(spray.paths, connectors=tuple(new_connectors))
-    new_spray = SprayFamily(core=core, paths=new_paths, slots=tuple(new_slots),
-                            feasibility=spray.feasibility)
+    new_spray = SprayFamily(core=core, paths=new_paths, slots=tuple(new_slots))
     return new_spray, target

@@ -102,13 +102,6 @@ class FiniteGroupTable:
                 raise GroupBuildError("order computation diverged")
         return k
 
-    def cyclic_subgroup(self, a: int) -> list[int]:
-        out, x = [0], a
-        while x != 0:
-            out.append(x)
-            x = self.mul(x, a)
-        return out
-
 
 def build_cyclic(k: int) -> FiniteGroupTable:
     """Cyclic group Z_k; element i is the i-th power of the generator."""
@@ -534,65 +527,3 @@ def null_line_from_plane(cert: PlaneRotationCertificate) -> np.ndarray:
     if abs(s) > 1e-12 * float(np.real(np.vdot(w, w))):
         raise DegenerateFrameError("frame does not produce a null vector")
     return w
-
-
-# ---------------------------------------------------------------------------
-# JSON descriptions
-
-
-def group_to_json(group: FiniteGroupTable | InfiniteCyclicGroup) -> dict:
-    if isinstance(group, InfiniteCyclicGroup):
-        return {"type": "infinite_cyclic", "n_generators": group.n_generators,
-                "word_window": group.word_window}
-    return {
-        "type": "table",
-        "order": group.order,
-        "cayley": group.cayley.tolist(),
-        "generators": list(group.generators),
-        "names": list(group.names),
-    }
-
-
-def group_from_json(obj: dict):
-    t = obj.get("type")
-    if t == "cyclic":
-        return build_cyclic(int(obj["k"]))
-    if t == "von_dyck":
-        return build_von_dyck(str(obj["name"]))[0]
-    if t == "infinite_cyclic":
-        return InfiniteCyclicGroup(int(obj.get("n_generators", 1)),
-                                   int(obj.get("word_window", 4)))
-    if t == "table":
-        return FiniteGroupTable(
-            order=int(obj["order"]),
-            cayley=np.asarray(obj["cayley"], dtype=int),
-            generators=tuple(obj["generators"]),
-            names=tuple(obj["names"]),
-        )
-    raise GroupBuildError(f"unknown group description type {t!r}")
-
-
-def motion_to_json(m: RigidMotion) -> dict:
-    return {"r": m.r, "O": m.O.tolist(), "b": m.b.tolist()}
-
-
-def motion_from_json(obj: dict) -> RigidMotion:
-    return RigidMotion(float(obj.get("r", 1.0)),
-                       np.asarray(obj["O"], dtype=float),
-                       np.asarray(obj["b"], dtype=float))
-
-
-def action_to_json(action: SpaceAction) -> dict:
-    return {
-        "group": group_to_json(action.group),
-        "dim": action.dim,
-        "orthogonal": action.orthogonal,
-        "motions": [motion_to_json(m) for m in action.motions],
-    }
-
-
-def action_from_json(obj: dict) -> SpaceAction:
-    group = group_from_json(obj["group"])
-    motions = tuple(motion_from_json(m) for m in obj["motions"])
-    return SpaceAction(group=group, motions=motions, dim=int(obj["dim"]),
-                       orthogonal=bool(obj.get("orthogonal", True)))

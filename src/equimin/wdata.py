@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,7 +155,6 @@ class WeierstrassData:
     space_action: SpaceAction
     basepoint: complex
     v: np.ndarray
-    closed_form: object | None = None   # optional oracle F(z) for cross-checks
 
     def __post_init__(self):
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
@@ -169,7 +168,7 @@ class WeierstrassData:
         return self.space_action.dim
 
     def f_values(self, z) -> np.ndarray:
-        return self.f(z) if callable(self.f) else self.f.eval(z)
+        return self.f(z)
 
     def f_theta(self, z) -> np.ndarray:
         """Integrand values f(z) * theta(z)/dz, vectorised."""
@@ -198,8 +197,7 @@ class WeierstrassData:
                                domain_action=self.domain_action,
                                space_action=self.space_action,
                                basepoint=self.basepoint,
-                               v=self.v if v is None else v,
-                               closed_form=None)
+                               v=self.v if v is None else v)
 
     def scaled(self, factor: float) -> "WeierstrassData":
         """Scale the map (and base value) by a positive factor."""
@@ -246,8 +244,8 @@ def sample_domain_points(domain: PlanarDomain, count: int, seed: int,
 
 def nullity_residual(data_or_map, grid) -> float:
     """sup over the grid of |sum f_j^2| / (1 + |f|^2)."""
-    f = data_or_map.f_values if isinstance(data_or_map, WeierstrassData) else \
-        (data_or_map.eval if hasattr(data_or_map, "eval") else data_or_map)
+    f = data_or_map.f_values if isinstance(data_or_map, WeierstrassData) \
+        else data_or_map
     z = np.asarray(grid, dtype=complex).ravel()
     vals = f(z)
     q = np.abs(quadratic_form(vals))

@@ -194,3 +194,18 @@ def test_verify_checks_fixed_point_axis_alignment(tmp_path):
     assert fp["applies"] is True
     assert fp["samples"] == 1
     assert fp["residual"] <= fp["tolerance"]
+
+
+def test_verify_runs_feasibility_check_once(cat_config, tmp_path, monkeypatch):
+    # verify reuses the solve pipeline's feasibility report for the
+    # fixed-point alignment instead of recomputing it
+    calls = []
+    real = cli.feasibility_check
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "feasibility_check", counting)
+    assert run("verify", cat_config, tmp_path / "out") == EXIT_OK
+    assert len(calls) == 1

@@ -53,6 +53,24 @@ def test_flow_composition(a1, a2, a3, b1, b2, b3, gen_idx, s, t):
     assert abs(quadratic_form(one)) < 1e-10
 
 
+@given(st.lists(st.tuples(finite, finite, finite, finite, finite, finite,
+                          angles, angles), min_size=1, max_size=12),
+       st.integers(min_value=0, max_value=3))
+@settings(max_examples=60)
+def test_flow_per_column_times_match_scalar_flows(columns, gen_idx):
+    # bump slots flow a stack of integrand values with one time per
+    # column, global slots with one scalar time; both must agree bit for
+    # bit.  Each column stays a (3, 1) stack: numpy's complex scalar
+    # multiply rounds differently from its array loops.
+    Z = np.column_stack([null_frame(*c[:6]) for c in columns])
+    t = np.array([complex(c[6], c[7]) for c in columns])
+    gen = standard_generators(3)[gen_idx]
+    out = flow(gen, t, Z)
+    want = np.hstack([flow(gen, t[k], Z[:, [k]]) for k in range(len(t))])
+    assert np.array_equal(out, want)
+    assert is_null(out, tol=1e-12)
+
+
 @given(finite, finite, finite, finite, finite, finite,
        st.floats(min_value=-1e-6, max_value=1e-6))
 def test_retract_idempotent_near_quadric(a1, a2, a3, b1, b2, b3, eps):

@@ -112,8 +112,7 @@ def test_spray_jacobian_is_well_conditioned():
 def test_jacobian_flags_duplicated_slots():
     spray = catenoid_spray()
     dup = SprayFamily(core=spray.core, paths=spray.paths,
-                      slots=spray.slots + (spray.slots[0],),
-                      feasibility=spray.feasibility)
+                      slots=spray.slots + (spray.slots[0],))
     J = period_jacobian(dup)
     assert len(J.duplicates) == 1
     a, b = J.duplicates[0]
