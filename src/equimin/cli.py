@@ -41,6 +41,7 @@ NULLITY_GATE = 1e-12
 EQUIV_F_GATE = 1e-10
 EQUIV_IMM_GATE = 1e-9
 PERIOD_GATE = 1e-9
+FAR_TRANSLATES = (-50, 50)   # generator powers of the far equivariance check
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -158,6 +159,14 @@ def residual_battery(data, paths, target, seed: int, n_samples: int = 2048) -> d
     eq = equivariance_residual_F(field, n_samples=256, seed=seed + 2)
     out["equivariance_F"] = {"value": eq["residual"], "samples": eq["samples"],
                              "gate": EQUIV_IMM_GATE}
+    if not data.domain_action.is_finite:
+        # deformations reach every translate; so must the check
+        far = equivariance_residual_F(field, n_samples=16, seed=seed + 3,
+                                      powers=FAR_TRANSLATES)
+        out["equivariance_F_far"] = {"value": far["residual"],
+                                     "samples": far["samples"],
+                                     "powers": list(FAR_TRANSLATES),
+                                     "gate": EQUIV_IMM_GATE}
     periods = compute_periods(data, paths)
     res = period_residuals(data, paths, periods, target, v=data.v)
     for key in ("real_period_residual", "orbit_closure_residual",
@@ -176,8 +185,7 @@ def _solve_pipeline(cfg: RunConfig, entry):
         return None, None, None, feas
     paths = build_path_system(data.domain, data.domain_action, data.basepoint)
     target = _target(cfg, entry, data, paths)
-    flux_keys = tuple(cfg.flux) if cfg.flux else ()
-    spray = build_period_spray(data, paths, flux_keys=flux_keys)
+    spray = build_period_spray(data, paths)
     result = newton_correct(spray, target=target,
                             config=NewtonConfig(tol=cfg.tol))
     return paths, target, result, feas
@@ -292,6 +300,7 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
                           "nondegenerate": nd["nondegenerate"]},
         "null_curve": {"re_residual": nc["re_residual"],
                        "path_residual": nc["path_residual"],
+                       "path_gate": PERIOD_GATE,
                        "flux": nc["flux"],
                        "flux_obstruction": nc["flux_obstruction"]},
         "fixed_points": fp,
@@ -301,7 +310,8 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
                 ("conformal_residual", "harmonic_residual",
                  "weierstrass_residual"))
     fp_ok = fp["residual"] <= fp["tolerance"]
-    ok = battery["ok"] and fd_ok and nd["nondegenerate"] and fp_ok
+    path_ok = nc["path_residual"] <= PERIOD_GATE
+    ok = battery["ok"] and fd_ok and nd["nondegenerate"] and fp_ok and path_ok
     print(f"verify {entry.name}: ok={ok}")
     return EXIT_OK if ok else EXIT_VERIFY
 

@@ -1,42 +1,46 @@
 """Feasibility gate, period-dominating sprays, and the Newton correction.
 
-Deformations act multiplicatively through null-quadric-preserving flows
-weighted by smooth bumps along the integration paths.  Each bump is
-extended over the group translates of its path by conjugating the flow
-with the motion differentials; the translate supports are kept pairwise
-disjoint, so every deformed map is exactly equivariant and exactly
-null.  Flux targets additionally switch on global slots taken from
-flows that commute with the whole space action; those keep the data
-meromorphic, matching the fact that flux control rescales the data
-rather than bending it locally.
+A spray deforms the core map as f_t = prod_j exp(t_j h_j(z) E_j) f with
+E_j in so(n, C) (or the identity, for scaling) and h_j holomorphic, so f_t
+is exactly null and f_t theta holomorphic: the surface is harmonic and
+path independent.  E_j is an Ad(dg) eigenvector and h_j has the matching
+character, h_j(g z) E_j = dg h_j(z) E_j dg^-1, so f_t is equivariant under
+every group element.  Constant slots (h = 1) flow along generators that
+commute with the action, the López-Ros deformations (J. Differential
+Geom. 33, 1991).  Root slots pair a nilpotent root vector of a commuting
+rotation (L_x +- i L_y for L_z) with h = z^p, a^p = lambda, for a domain
+rotation z -> a z, or h = e^{pz}, e^{pb} = lambda, for a translation
+z -> z + b; exp(t h E) is a finite Taylor sum.  Semisimple directions
+get constant h only, since exp(t h E) then grows exponentially in h.
+Slots are kept, lowest |p| first, while they raise the rank of the
+reduced period Jacobian: the period-dominating sprays of Alarcón,
+Forstnerič and López, *Minimal Surfaces from a Complex Analytic
+Viewpoint* (Springer, 2021).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .symgroup import PlaneRotationCertificate, Infeasible, find_invariant_rotation_plane
-from .domain import (PathSystem, ConnectorEntry, fixed_point_set, path_samples,
-                     route_radial_angular)
+from .domain import (PathSystem, ConnectorEntry, circle, fixed_point_set,
+                     path_samples, route_radial_angular)
 from .nullgeom import QuadricFlowGenerator, flow, standard_generators
 from .wdata import WeierstrassData, cancellation_check
 from .periods import (integrate_form, PeriodVector, PeriodTarget,
                       period_residuals)
 
 SIGMA_TOL = 1e-6          # period-domination gate on the t-Jacobian
-SNAP_TOL = 1e-6           # relative floor below which slot coefficients snap to 0
-SUPPORT_FRACTION = 0.35   # bump radius as a fraction of the free gap
+RANK_TOL = 1e-6           # rank floor for unit Jacobian columns (FD noise ~1e-10)
 SPRAY_BALL = 0.5          # parameter ball on which spray invariants are sampled
 NEWTON_BALL = 4.0         # Newton may wander this far in ||t||_2
-BUMP_PENALTY = 1e4        # min-norm weighting: prefer global slots when present
 FD_STEP = 1e-6            # central-difference step of the period Jacobian
 DAMPING = 0.5             # line-search step shrink factor
-_CENTER_PARAMS = (0.31, 0.11, 0.51, 0.71, 0.91)
-_TRANSLATE_WINDOW = 8     # generator powers considered for infinite groups
+_BRANCHES = 2             # character branches p0 + k j, |j| <= 2, per root vector
 
 
 class SprayError(RuntimeError):
@@ -102,42 +106,39 @@ def feasibility_check(domain_action, space_action) -> FeasibilityReport:
 
 
 # ---------------------------------------------------------------------------
-# bump-weighted deformations
-
-
-def mollifier(rho):
-    """Standard bump: exp(1 - 1/(1 - rho^2)) inside |rho| < 1, zero outside."""
-    rho = np.asarray(rho, dtype=float)
-    out = np.zeros_like(rho)
-    inside = np.abs(rho) < 1.0
-    r2 = rho[inside] ** 2
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2))
-    return out
+# character deformations
 
 
 @dataclass(frozen=True, eq=False)
 class Slot:
-    """One deformation parameter: a quadric flow applied through a bump
-    at `center` (conjugation-extended over `translates`), or globally
-    when `global_` is set."""
+    """One deformation parameter t acting as f -> exp(t h(z) E) f.
+
+    A constant slot (p = 0, `generator` set) flows along a quadric
+    generator commuting with the action.  A root slot pairs a nilpotent
+    E with h = z^p (var "z") or h = e^{pz} (var "exp").
+    """
 
     key: str
-    path_key: str | None
-    generator: QuadricFlowGenerator
-    center: complex = 0j
-    radius: float = 0.0
-    global_: bool = False
-    translates: tuple = ()        # ((differential matrix, translated center), ...)
+    E: np.ndarray
+    p: complex = 0
+    var: str = "z"
+    generator: QuadricFlowGenerator | None = None
+
+    def apply(self, t, z, vals):
+        """exp(t h(z) E) applied to the value columns at the points z."""
+        if self.generator is not None:
+            return flow(self.generator, t, vals)
+        s = t * (np.exp(self.p * z) if self.var == "exp" else z ** self.p)
+        term, out = vals, vals.copy()
+        for q in range(1, vals.shape[0]):       # E^n = 0
+            term = (self.E @ term) * (s / q)
+            out = out + term
+        return out
 
 
 class DeformedMap:
-    """Core map composed with the slots' flows at parameter t.
-
-    Outside every bump support the values equal the core exactly; inside,
-    the flow angle is t_j * w(z) conjugated by the translate's motion
-    differential.  Exposes the callable/pole interface Weierstrass data
-    expects from a map.
-    """
+    """Core map composed with the slots' factors at parameter t, with
+    the callable/pole interface Weierstrass data expects from a map."""
 
     def __init__(self, base_map, slots, t):
         self.base_map = base_map
@@ -152,19 +153,8 @@ class DeformedMap:
         zz = np.atleast_1d(z).ravel()
         vals = np.array(self.base_map(zz), dtype=complex)
         for slot, tj in zip(self.slots, self.t):
-            if tj == 0:
-                continue
-            if slot.global_:
-                vals = flow(slot.generator, tj, vals)
-                continue
-            for A, c in slot.translates:
-                mask = np.abs(zz - c) < slot.radius
-                if not np.any(mask):
-                    continue
-                w = mollifier(np.abs(zz[mask] - c) / slot.radius)
-                y = np.linalg.solve(A, vals[:, mask])
-                y = flow(slot.generator, tj * w, y)
-                vals[:, mask] = A @ y
+            if tj != 0:
+                vals = slot.apply(tj, zz, vals)
         if scalar:
             return vals[:, 0]
         return vals.reshape((vals.shape[0],) + np.atleast_1d(z).shape)
@@ -174,27 +164,81 @@ class DeformedMap:
         return rec() if rec is not None else []
 
 
-def _orbit_translates(core: WeierstrassData, center: complex) -> tuple:
-    act = core.domain_action
-    if act.is_finite:
-        return tuple((core.differential(i), complex(act.apply(i, center)))
-                     for i in range(act.group.order))
-    if len(act.maps) != 1:
-        raise SprayError("bump sprays support a single translation generator")
-    out = []
-    for k in range(-_TRANSLATE_WINDOW, _TRANSLATE_WINDOW + 1):
-        a, b = act.map_power(0, k)
-        dg = core.space_action.motion_power(0, k).linear()
-        out.append((dg, a * center + b))
-    return tuple(out)
-
-
-def fixed_space_basis(M: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis (columns) of the fixed space null(M - I)."""
+def fixed_space_split(M: np.ndarray, tol: float = 1e-9) -> tuple:
+    """Orthonormal bases (columns) of the fixed space null(M - I) and of
+    its orthogonal complement, which is range(M - I) for orthogonal M."""
     n = M.shape[0]
     _, s, VT = np.linalg.svd(M - np.eye(n))
     d = int(np.sum(s <= tol * max(1.0, float(s[0]) if len(s) else 1.0)))
-    return VT[n - d:, :].T
+    return VT[n - d:, :].T, VT[:n - d, :].T
+
+
+def commutant_generators(core: WeierstrassData, tol: float = 1e-12) -> list:
+    """Quadric flow generators commuting with every generator motion."""
+    n = core.dim
+    act = core.space_action
+    mats = [act.generator_motion(i).linear()
+            for i in range(len(act.generator_indices()))]
+    return [g for g in standard_generators(n)
+            if all(np.max(np.abs(g.matrix(n) @ M - M @ g.matrix(n))) <= tol
+                   for M in mats)]
+
+
+def _character_exponents(core: WeierstrassData, lam: complex) -> tuple:
+    """(var, exponents p) with h(g z) = lam h(z) for the domain
+    generator g: h = z^p for a rotation z -> a z (p >= 0 when 0 lies in
+    the domain), h = e^{pz} for a translation z -> z + b."""
+    act = core.domain_action
+    a, b = act.generator_map(0)
+    js = range(-_BRANCHES, _BRANCHES + 1)
+    if act.is_finite:
+        k = act.group.element_order(act.group.generators[0])
+        p0 = next((p for p in range(k) if abs(a ** p - lam) < 1e-9), None)
+        if abs(b) > 1e-12 or p0 is None:
+            return "z", []
+        return "z", [p0 + k * j for j in js
+                     if p0 + k * j >= 0 or not core.domain.contains(0j)]
+    if abs(a - 1) > 1e-12:
+        return "exp", []
+    ps = [1j * (cmath.phase(lam) + 2 * math.pi * j) / b for j in js]
+    return "exp", [p.real if abs(p.imag) < 1e-12 else p for p in ps]
+
+
+def _candidate_slots(core: WeierstrassData) -> list:
+    """Constant slots from the commutant, then root slots by |p| (at a
+    tie p > 0 first: z^-p grows fastest at the sampling margin around a
+    puncture at 0).  The roots are the eigenvectors E of ad(H), H the
+    first commuting rotation, with nonzero eigenvalue (so E is
+    nilpotent) that Ad(dg) scales by some lambda; each is paired with
+    every h of the matching character."""
+    n = core.dim
+    commutant = commutant_generators(core)
+    const = [Slot(key=f"const:{g.label()}", E=g.matrix(n), generator=g)
+             for g in commutant]
+    rotations = [g for g in commutant if g.kind == "rotation"]
+    if not rotations or len(core.domain_action.generator_indices()) != 1:
+        return const
+    H = rotations[0].matrix(n)
+    gens = [g for g in standard_generators(n) if g.kind == "rotation"]
+    basis = [g.matrix(n) for g in gens]
+    ad = np.array([[(H @ B - B @ H)[g.j, g.i] for B in basis] for g in gens])
+    mu, V = np.linalg.eig(ad)
+    O = core.space_action.generator_motion(0).O
+    roots = []
+    for i in sorted(np.flatnonzero(np.abs(mu) > 1e-9),
+                    key=lambda i: round(mu[i].imag, 9)):
+        E = sum(V[l, i] * B for l, B in enumerate(basis))
+        flat = np.abs(E.ravel())
+        E = E / E.ravel()[np.argmax(flat > 0.5 * flat.max())]
+        moved = O @ E @ O.T
+        lam = complex(np.vdot(E, moved) / np.vdot(E, E))
+        if np.max(np.abs(moved - lam * E)) > 1e-9:
+            continue
+        var, ps = _character_exponents(core, lam)
+        roots += [Slot(key=f"root({mu[i].imag:+.6g})*" + (
+            f"z^{p}" if var == "z" else f"exp({p:.6g}z)"), E=E, p=p, var=var)
+            for p in ps]
+    return const + sorted(roots, key=lambda s: (abs(s.p), complex(s.p).real < 0))
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +259,8 @@ class SprayFamily:
 
     def entries(self):
         """Ordered (kind, entry) pairs over loops then connectors."""
-        out = [("loop", e) for e in self.paths.loops]
-        out += [("conn", e) for e in self.paths.connectors]
-        return out
+        return [("loop", e) for e in self.paths.loops] + \
+            [("conn", e) for e in self.paths.connectors]
 
     def data_at(self, t, v=None) -> WeierstrassData:
         t = np.asarray(t, dtype=complex)
@@ -231,21 +274,10 @@ class SprayFamily:
                 for _, e in self.entries() if keys is None or e.key in keys}
 
     def dependencies(self) -> dict:
-        """Slot index -> set of path keys whose periods it can move."""
-        dep = {}
-        for j, slot in enumerate(self.slots):
-            if slot.global_:
-                dep[j] = {e.key for _, e in self.entries()}
-                continue
-            keys = set()
-            for _, e in self.entries():
-                pts = path_samples(e.path, 256)
-                for _, c in slot.translates:
-                    if np.min(np.abs(pts - c)) < slot.radius * 1.05:
-                        keys.add(e.key)
-                        break
-            dep[j] = keys
-        return dep
+        """Slot index -> set of path keys whose periods it can move: all
+        of them, since every slot deforms the whole domain."""
+        keys = {e.key for _, e in self.entries()}
+        return {j: set(keys) for j in range(self.n_slots)}
 
     def jacobian_columns(self, t) -> dict:
         """d(period)/d(Re t_j) by central differences, as a dict
@@ -255,8 +287,6 @@ class SprayFamily:
         cols = {e.key: np.zeros((self.core.dim, self.n_slots), dtype=complex)
                 for _, e in self.entries()}
         for j, keys in self.dependencies().items():
-            if not keys:
-                continue
             tp = t.copy(); tp[j] += FD_STEP
             tm = t.copy(); tm[j] -= FD_STEP
             Pp = self.periods_at(tp, keys=keys)
@@ -265,132 +295,98 @@ class SprayFamily:
                 cols[k][:, j] = (Pp[k] - Pm[k]) / (2 * FD_STEP)
         return cols
 
-    def loop_bases(self) -> dict:
-        """Loop key -> orthonormal basis of the stabiliser's fixed space
-        (the subspace the loop period is confined to by equivariance)."""
+    def row_bases(self) -> dict:
+        """Path key -> orthonormal basis (columns) of the period
+        components the reduced Jacobian keeps.
+
+        A loop keeps its stabiliser's fixed space, where equivariance
+        confines the period.  Under a finite group a group connector
+        keeps range(I - dg): the orbit of its arc closes up around the
+        rotation centre, so sum_j dg^j P_conn is a loop period there and
+        the dg-fixed part of P_conn is already fixed by the loop rows.
+        Other connectors keep every component.
+        """
         n = self.core.dim
         out = {}
         for e in self.paths.loops:
-            if e.stabiliser_generator is None:
-                out[e.key] = np.eye(n)
-            else:
-                dh = self.core.differential(e.stabiliser_generator)
-                out[e.key] = fixed_space_basis(dh)
+            out[e.key] = np.eye(n) if e.stabiliser_generator is None else \
+                fixed_space_split(self.core.differential(e.stabiliser_generator))[0]
+        for e in self.paths.connectors:
+            out[e.key] = np.eye(n)
+            if e.kind == "group" and self.core.domain_action.is_finite:
+                motion = self.core.space_action.generator_motion(e.generator)
+                out[e.key] = fixed_space_split(motion.linear())[1]
         return out
 
 
-def _pick_bump_geometry(core: WeierstrassData, path, avoid) -> tuple:
-    """Deterministically choose a bump center on the path and a radius
-    keeping all group translates pairwise disjoint and clear of the
-    avoided points."""
-    best = None
-    for s in _CENTER_PARAMS:
-        c = complex(path.point(np.array([s]))[0])
-        translates = _orbit_translates(core, c)
-        centers = [tc for _, tc in translates]
-        gaps = [abs(a - b) for i, a in enumerate(centers)
-                for b in centers[i + 1:]]
-        min_gap = min(gaps) if gaps else math.inf
-        clearance = min((abs(c2 - q) for _, c2 in translates for q in avoid),
-                        default=math.inf)
-        radius = min(SUPPORT_FRACTION * min_gap, 0.7 * clearance)
-        if not math.isfinite(radius):
-            radius = 0.5
-        if best is None or radius > best[2]:
-            best = (c, translates, radius)
-    c, translates, radius = best
-    if radius < 4e-3:
-        raise SprayError(f"no room for a bump near {c}")
-    return c, translates, radius
+def _rank(A: np.ndarray) -> int:
+    """Numerical rank after normalising the columns; columns of norm at
+    most RANK_TOL count as zero."""
+    norms = np.linalg.norm(A, axis=0)
+    keep = norms > RANK_TOL
+    if not np.any(keep):
+        return 0
+    s = np.linalg.svd(A[:, keep] / norms[keep], compute_uv=False)
+    return int(np.sum(s > RANK_TOL))
 
 
-def _candidate_column(core, slot, path):
-    data_p = core.with_f(DeformedMap(core.f, [slot], [FD_STEP]))
-    data_m = core.with_f(DeformedMap(core.f, [slot], [-FD_STEP]))
-    Pp = integrate_form(data_p, path)
-    Pm = integrate_form(data_m, path)
-    return (Pp - Pm) / (2 * FD_STEP)
+def _select_slots(core: WeierstrassData, paths: PathSystem, slots=()) -> tuple:
+    """Extend `slots` by candidates, lowest |p| first, keeping each one
+    only if its column raises the rank of the reduced period Jacobian,
+    until there is one slot per reduced row."""
+    chosen = list(slots)
+    C = period_jacobian(SprayFamily(core=core, paths=paths,
+                                    slots=tuple(slots))).matrix
+    rows, rank = C.shape[0], _rank(C)
+    keys = {s.key for s in slots}
+    for slot in (s for s in _candidate_slots(core) if s.key not in keys):
+        if rank == rows:
+            break
+        c = period_jacobian(SprayFamily(core=core, paths=paths,
+                                        slots=(slot,))).matrix
+        if _rank(np.hstack([C, c])) > rank:
+            C, rank = np.hstack([C, c]), rank + 1
+            chosen.append(slot)
+    if rank < rows:
+        raise SprayError(f"no period-dominating slots: rank {rank} "
+                         f"of {rows} reduced period rows")
+    return tuple(chosen)
 
 
-def _path_slots(core, key, path, avoid) -> list:
-    """One bump on `path`, with the n flow generators whose finite-difference
-    period columns rank first under pivoted QR."""
-    c, translates, radius = _pick_bump_geometry(core, path, avoid)
-    cands = [Slot(key=f"{key}:{gen.label()}", path_key=key, generator=gen,
-                  center=c, radius=radius, translates=translates)
-             for gen in standard_generators(core.dim)]
-    cols = np.column_stack([_candidate_column(core, s, path) for s in cands])
-    _, _, piv = scipy.linalg.qr(cols, pivoting=True)
-    return [cands[j] for j in piv[:core.dim]]
+def build_period_spray(core: WeierstrassData, paths: PathSystem) -> SprayFamily:
+    """Choose the slots for a path system (see _select_slots).
 
-
-def commutant_generators(core: WeierstrassData, tol: float = 1e-12) -> list:
-    """Quadric flow generators commuting with every generator motion."""
-    n = core.dim
-    act = core.space_action
-    mats = [act.generator_motion(i).linear()
-            for i in range(len(act.generator_indices()) if not act.is_finite
-                           else len(act.group.generators))]
-    out = []
-    for gen in standard_generators(n):
-        G = gen.matrix(n)
-        if all(np.max(np.abs(G @ M - M @ G)) <= tol for M in mats):
-            out.append(gen)
-    return out
-
-
-def build_period_spray(core: WeierstrassData, paths: PathSystem,
-                       flux_keys=()) -> SprayFamily:
-    """Place bump slots on every loop and connector path.
-
-    Per path: one bump, with flow generators ranked by pivoted QR of
-    their finite-difference period columns; the first n survive.  A core
-    whose image lies in a single null ray admits no independent period
-    directions and is rejected.  Nonempty flux_keys add global slots
-    from the commutant so flux corrections stay meromorphic.
+    A core whose image along a path lies in a single null ray admits no
+    independent period directions and is rejected.
     """
     rep = cancellation_check(core)
     if not rep.ok:
         raise SprayError(f"core fails the cancellation check: {rep.detail}")
-    entries = [("loop", e) for e in paths.loops] + \
-              [("conn", e) for e in paths.connectors]
-    slots = []
-    if entries:
-        fixed = fixed_point_set(core.domain, core.domain_action)
-        avoid = list(core.domain.punctures) + [r.point for r in fixed] + \
-            core.pole_points()
-        for kind, e in entries:
-            samples = path_samples(e.path, 64)
-            V = core.f_values(samples)
-            sv = np.linalg.svd(V, compute_uv=False)
-            if int(np.sum(sv > 1e-8 * sv[0])) < 2:
-                raise SprayError(
-                    "insufficient independent directions: core image along "
-                    f"path {e.key} lies in a single null ray")
-            slots.extend(_path_slots(core, e.key, e.path, avoid))
-    for gen in (commutant_generators(core) if flux_keys else []):
-        slots.append(Slot(key=f"global:{gen.label()}", path_key=None,
-                          generator=gen, global_=True))
-    return SprayFamily(core=core, paths=paths, slots=tuple(slots))
+    for e in list(paths.loops) + list(paths.connectors):
+        V = core.f_values(path_samples(e.path, 64))
+        sv = np.linalg.svd(V, compute_uv=False)
+        if int(np.sum(sv > 1e-8 * sv[0])) < 2:
+            raise SprayError(
+                "insufficient independent directions: core image along "
+                f"path {e.key} lies in a single null ray")
+    return SprayFamily(core=core, paths=paths, slots=_select_slots(core, paths))
 
 
 def validate_spray(spray: SprayFamily, ball: float = SPRAY_BALL,
                    n_samples: int = 3, seed: int = 23) -> dict:
     """Sample parameters in the ball and measure the spray invariants:
-    pointwise nullity, map equivariance, and agreement with the core
-    outside the bump supports (global slots are zeroed for the outside
-    comparison since they deform everywhere)."""
+    pointwise nullity, map equivariance, and the Cauchy residual, the
+    largest |integral of f_t theta| around circles that enclose no
+    puncture, pole or fixed point (zero for a holomorphic integrand)."""
     from .wdata import nullity_residual, equivariance_residual_f, sample_domain_points
+    core = spray.core
     rng = np.random.default_rng(seed)
-    pts = sample_domain_points(spray.core.domain, 128, seed=seed + 1)
-    outside = np.ones(len(pts), dtype=bool)
-    for slot in spray.slots:
-        if slot.global_:
-            continue
-        for _, c in slot.translates:
-            outside &= np.abs(pts - c) > slot.radius * 1.05
-    report = {"nullity": 0.0, "equivariance": 0.0, "outside_support": 0.0}
-    base_vals = spray.core.f_values(pts[outside])
+    pts = sample_domain_points(core.domain, 128, seed=seed + 1)
+    avoid = list(core.domain.punctures) + core.pole_points() + \
+        [r.point for r in fixed_point_set(core.domain, core.domain_action)]
+    circles = [circle(complex(c), min(0.5, 0.5 * min(
+        (abs(c - q) for q in avoid), default=math.inf))) for c in pts[:4]]
+    report = {"nullity": 0.0, "equivariance": 0.0, "cauchy": 0.0}
     for _ in range(n_samples):
         t = rng.normal(size=spray.n_slots) + 1j * rng.normal(size=spray.n_slots)
         norm = np.linalg.norm(t)
@@ -400,14 +396,9 @@ def validate_spray(spray: SprayFamily, ball: float = SPRAY_BALL,
         report["nullity"] = max(report["nullity"], nullity_residual(data_t, pts))
         report["equivariance"] = max(report["equivariance"],
                                      equivariance_residual_f(data_t, 64, seed=seed))
-        t_local = t.copy()
-        for j, slot in enumerate(spray.slots):
-            if slot.global_:
-                t_local[j] = 0.0
-        vals = spray.data_at(t_local).f_values(pts[outside])
-        report["outside_support"] = max(report["outside_support"],
-                                        float(np.max(np.abs(vals - base_vals)))
-                                        if np.any(outside) else 0.0)
+        for loop in circles:
+            report["cauchy"] = max(report["cauchy"], float(
+                np.max(np.abs(integrate_form(data_t, loop)))))
     return report
 
 
@@ -419,10 +410,9 @@ def validate_spray(spray: SprayFamily, ball: float = SPRAY_BALL,
 class PeriodJacobian:
     """Reduced complex derivative of the period map at a parameter point.
 
-    Loop rows are projected onto the stabiliser's fixed space (where
-    equivariance confines the loop periods); connector rows are kept in
-    full.  sigma_min is the p-th singular value of the p-row matrix:
-    positive means the period map is a submersion there.
+    Rows are each path's period in its row basis (SprayFamily.row_bases).
+    sigma_min is the p-th singular value of the p-row matrix: positive
+    means the period map is a submersion there.
     """
 
     matrix: np.ndarray
@@ -445,18 +435,13 @@ def period_jacobian(spray: SprayFamily, t=None) -> PeriodJacobian:
     t = np.zeros(spray.n_slots, dtype=complex) if t is None else \
         np.asarray(t, dtype=complex)
     cols = spray.jacobian_columns(t)
-    bases = spray.loop_bases()
+    bases = spray.row_bases()
     rows = []
     labels = []
-    for kind, e in spray.entries():
-        block = cols[e.key]
-        if kind == "loop":
-            B = bases[e.key]
-            block = B.T @ block
-            labels += [f"{e.key}[{i}]" for i in range(B.shape[1])]
-        else:
-            labels += [f"{e.key}[{i}]" for i in range(block.shape[0])]
-        rows.append(block)
+    for _, e in spray.entries():
+        B = bases[e.key]
+        rows.append(B.T @ cols[e.key])
+        labels += [f"{e.key}[{i}]" for i in range(B.shape[1])]
     J = np.vstack(rows) if rows else np.zeros((0, spray.n_slots), dtype=complex)
     sigma = np.linalg.svd(J, compute_uv=False) if J.size else np.array([])
     dups = []
@@ -499,7 +484,7 @@ class NewtonResult:
 
 def _row_plan(spray: SprayFamily, target: PeriodTarget | None) -> list:
     """Row descriptors of the real correction system."""
-    bases = spray.loop_bases()
+    bases = spray.row_bases()
     plan = []
     flux = target.flux if target is not None else {}
     for e in spray.paths.loops:
@@ -552,15 +537,37 @@ def _jacobian_matrix(plan, cols: dict, n: int, m: int) -> np.ndarray:
     return np.vstack(blocks) if blocks else np.zeros((0, 2 * m + n))
 
 
+def _newton_step(J: np.ndarray, r: np.ndarray, slots: tuple) -> np.ndarray:
+    """Min-norm Gauss-Newton step with the base value v free: range(J_v)
+    is projected out of the rows, and t moves only in the lowest-degree
+    tiers of slots (by |p|) that reach the projected rank, so higher
+    slots stay exactly put.  v absorbs what is left."""
+    m = len(slots)
+    Jt, Jv = J[:, :2 * m], J[:, 2 * m:]
+    U, s, _ = np.linalg.svd(Jv, full_matrices=False)
+    Q = U[:, s > RANK_TOL * max(1.0, s[0])]
+    A = Jt - Q @ (Q.T @ Jt)
+    want = _rank(A)
+    dt = np.zeros(2 * m)
+    for degree in sorted({abs(slot.p) for slot in slots}):
+        idx = [j for j, slot in enumerate(slots) if abs(slot.p) <= degree]
+        cols = np.array(idx + [m + j for j in idx], dtype=int)
+        if _rank(A[:, cols]) == want:
+            dt[cols] = np.linalg.lstsq(A[:, cols], Q @ (Q.T @ r) - r,
+                                       rcond=RANK_TOL)[0]
+            break
+    dv = np.linalg.lstsq(Jv, -(r + Jt @ dt), rcond=RANK_TOL)[0]
+    return np.concatenate([dt, dv])
+
+
 def newton_correct(spray: SprayFamily, target: PeriodTarget | None = None,
                    config: NewtonConfig | None = None,
                    t_init=None, v_init=None) -> NewtonResult:
     """Damped Gauss-Newton on the closing conditions.
 
     Unknowns are the slot parameters (real and imaginary parts) and the
-    base value v.  Loop rows are reduced to the stabiliser-fixed
-    subspace; the final residual report is computed unreduced, so any
-    component the reduction discarded would still surface there.
+    base value v.  Only the period-domination gate uses the reduced
+    Jacobian; Newton's rows and the final residual report are unreduced.
     """
     cfg = config or NewtonConfig()
     core = spray.core
@@ -579,82 +586,35 @@ def newton_correct(spray: SprayFamily, target: PeriodTarget | None = None,
         np.asarray(t_init, dtype=complex).copy()
     v = core.v.copy() if v_init is None else np.asarray(v_init, dtype=float).copy()
     plan = _row_plan(spray, target)
-
-    col_weight = np.ones(2 * m + n)
-    if any(s.global_ for s in spray.slots):
-        for j, slot in enumerate(spray.slots):
-            if not slot.global_:
-                col_weight[j] = col_weight[m + j] = 1.0 / BUMP_PENALTY
-
     periods = spray.periods_at(t)
     r = _residual_vector(plan, periods, v)
     history = [float(np.max(np.abs(r))) if r.size else 0.0]
     iterations = 0
-
-    def descend(t, v, periods, r):
-        nonlocal iterations
-        while history[-1] > cfg.tol:
-            if iterations >= cfg.max_iters:
-                raise NewtonError(f"no convergence in {cfg.max_iters} iterations "
-                                  f"(residual {history[-1]:.3e})", history)
-            cols = spray.jacobian_columns(t)
-            J = _jacobian_matrix(plan, cols, n, m)
-            Jw = J * col_weight[None, :]
-            y, *_ = np.linalg.lstsq(Jw, -r, rcond=None)
-            delta = y * col_weight
-            norm_r = float(np.linalg.norm(r))
-            alpha = 1.0
-            accepted = False
-            for _ in range(9):
-                t_new = t + alpha * (delta[:m] + 1j * delta[m:2 * m])
-                v_new = v + alpha * delta[2 * m:]
-                periods_new = spray.periods_at(t_new)
-                r_new = _residual_vector(plan, periods_new, v_new)
-                if float(np.linalg.norm(r_new)) < norm_r:
-                    accepted = True
-                    break
-                alpha *= DAMPING
-            if not accepted:
-                raise NewtonError("step stalled: no damping factor reduced the "
-                                  "residual", history)
-            t, v, r, periods = t_new, v_new, r_new, periods_new
-            if float(np.linalg.norm(t)) > NEWTON_BALL:
-                raise NewtonError(f"parameter left the validity ball "
-                                  f"(||t|| = {np.linalg.norm(t):.3f})", history)
-            history.append(float(np.max(np.abs(r))) if r.size else 0.0)
-            iterations += 1
-        return t, v, periods, r
-
-    t, v, periods, r = descend(t, v, periods, r)
-
-    # Snap negligible bump coefficients to zero and reconverge: residual
-    # junk in a bump coefficient makes the integrand non-holomorphic, so
-    # loop periods pick up a radius dependence of that size.  Global
-    # slots stay holomorphic and are left alone.  The column weighting
-    # keeps the resumed steps from repopulating the bumps, so a couple
-    # of rounds reach an exactly-sparse solution; if a resume ever
-    # fails, the last converged state is restored.
-    is_bump = np.array([not s.global_ for s in spray.slots], dtype=bool) \
-        if m else np.zeros(0, dtype=bool)
-    for _ in range(3):
-        scale = max(1.0, float(np.max(np.abs(t), initial=0.0)))
-        snap = (np.abs(t) < SNAP_TOL * scale) & is_bump
-        if not np.any(snap & (t != 0)):
-            break
-        best = (t, v, periods, r)
-        t_try = np.where(snap, 0.0, t)
-        periods_try = spray.periods_at(t_try)
-        r_try = _residual_vector(plan, periods_try, v)
-        history.append(float(np.max(np.abs(r_try))) if r_try.size else 0.0)
-        t, periods, r = t_try, periods_try, r_try
-        if history[-1] <= cfg.tol:
-            break
-        try:
-            t, v, periods, r = descend(t, v, periods, r)
-        except NewtonError:
-            t, v, periods, r = best
-            history.append(float(np.max(np.abs(r))) if r.size else 0.0)
-            break
+    while history[-1] > cfg.tol:
+        if iterations >= cfg.max_iters:
+            raise NewtonError(f"no convergence in {cfg.max_iters} iterations "
+                              f"(residual {history[-1]:.3e})", history)
+        J = _jacobian_matrix(plan, spray.jacobian_columns(t), n, m)
+        delta = _newton_step(J, r, spray.slots)
+        norm_r = float(np.linalg.norm(r))
+        alpha = 1.0
+        for _ in range(9):
+            t_new = t + alpha * (delta[:m] + 1j * delta[m:2 * m])
+            v_new = v + alpha * delta[2 * m:]
+            periods_new = spray.periods_at(t_new)
+            r_new = _residual_vector(plan, periods_new, v_new)
+            if float(np.linalg.norm(r_new)) < norm_r:
+                break
+            alpha *= DAMPING
+        else:
+            raise NewtonError("step stalled: no damping factor reduced the "
+                              "residual", history)
+        t, v, r, periods = t_new, v_new, r_new, periods_new
+        if float(np.linalg.norm(t)) > NEWTON_BALL:
+            raise NewtonError(f"parameter left the validity ball "
+                              f"(||t|| = {np.linalg.norm(t):.3f})", history)
+        history.append(float(np.max(np.abs(r))) if r.size else 0.0)
+        iterations += 1
 
     if float(np.linalg.norm(t)) < 1e-14 and np.allclose(v, core.v):
         data = core
@@ -679,8 +639,10 @@ def interpolate_values(spray: SprayFamily, marked_points, values,
 
     Points falling in one group orbit must carry compatible values
     (value at g x equal to the motion applied to the value at x); the
-    connector is attached to the first representative of each orbit.
-    Returns the augmented spray and the (unchanged) target.
+    connector is attached to the first representative of each orbit,
+    and the spray gains slots until the reduced system is square again
+    (one per pinned coordinate).  Returns the augmented spray and the
+    (unchanged) target.
     """
     marked_points = [complex(p) for p in marked_points]
     values = [np.asarray(val, dtype=float) for val in values]
@@ -716,15 +678,13 @@ def interpolate_values(spray: SprayFamily, marked_points, values,
     avoid = list(core.domain.punctures) + [r.point for r in fixed] + \
         core.pole_points()
     new_connectors = list(spray.paths.connectors)
-    new_slots = list(spray.slots)
     for idx, (p, val) in enumerate(reps):
         path = route_radial_angular(spray.paths.basepoint, p, avoid=avoid,
                                     margin=spray.paths.margin)
-        key = f"mark:{idx}"
-        new_connectors.append(ConnectorEntry(key=key, path=path, generator=None,
-                                             kind="marked", marked_point=p,
+        new_connectors.append(ConnectorEntry(key=f"mark:{idx}", path=path,
+                                             generator=None, kind="marked",
+                                             marked_point=p,
                                              marked_value=tuple(val)))
-        new_slots.extend(_path_slots(core, key, path, avoid))
     new_paths = replace(spray.paths, connectors=tuple(new_connectors))
-    new_spray = SprayFamily(core=core, paths=new_paths, slots=tuple(new_slots))
-    return new_spray, target
+    slots = _select_slots(core, new_paths, spray.slots)
+    return SprayFamily(core=core, paths=new_paths, slots=slots), target

@@ -178,21 +178,21 @@ class ImmersionField:
 
 
 def equivariance_residual_F(field: ImmersionField, n_samples: int = 256,
-                            seed: int = 31) -> dict:
-    """max over generators and samples of |F(g x) - g F(x)|, with the
-    full rigid motion (translation part included) on the right."""
+                            seed: int = 31, powers=(1,)) -> dict:
+    """max over generators g, powers j and samples of |F(g^j x) - g^j F(x)|,
+    with the full rigid motion (translation part included) on the right."""
     data = field.data
     z = sample_domain_points(data.domain, n_samples, seed)
     act = data.domain_action
     worst = 0.0
+    Fz = field.evaluate_many(z)
     for pos in range(len(act.generator_indices())):
-        a, b = act.generator_map(pos)
-        motion = data.space_action.generator_motion(pos)
-        gz = a * z + b
-        Fz = field.evaluate_many(z)
-        Fgz = field.evaluate_many(gz)
-        moved = Fz @ (motion.r * motion.O).T + motion.b
-        worst = max(worst, float(np.max(np.linalg.norm(Fgz - moved, axis=1))))
+        for j in powers:
+            a, b = act.map_power(pos, j)
+            motion = data.space_action.motion_power(pos, j)
+            Fgz = field.evaluate_many(a * z + b)
+            moved = Fz @ (motion.r * motion.O).T + motion.b
+            worst = max(worst, float(np.max(np.linalg.norm(Fgz - moved, axis=1))))
     return {"residual": worst, "samples": int(n_samples),
             "generators": len(act.generator_indices())}
 

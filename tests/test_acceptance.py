@@ -240,7 +240,7 @@ def test_criterion_11_flux_and_conjugate_curve():
     ps = build_path_system(data.domain, data.domain_action, data.basepoint)
     target = PeriodTarget({"loop:0": np.array([0, 0, 4 * math.pi])})
     target = target.validated(data, ps)
-    spray = build_period_spray(data, ps, flux_keys=("loop:0",))
+    spray = build_period_spray(data, ps)
     res = newton_correct(spray, target)
     ps2 = build_path_system(res.data.domain, res.data.domain_action,
                             res.data.basepoint)

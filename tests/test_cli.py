@@ -110,6 +110,19 @@ def test_failed_gate_exits_4(cat_config, tmp_path, monkeypatch):
     assert run("solve", cat_config, out) == EXIT_VERIFY
 
 
+def test_path_dependent_surface_fails_verify(cat_config, tmp_path,
+                                             monkeypatch):
+    # a two-path discrepancy above the period gate means the integrand
+    # is not holomorphic: verify must fail even with every other check green
+    monkeypatch.setattr(cli.ImmersionField, "two_path_residual",
+                        lambda self, z: 1e-6)
+    out = tmp_path / "out"
+    assert run("verify", cat_config, out) == EXIT_VERIFY
+    report = json.loads((out / "verify_report.json").read_text())
+    assert report["verification"]["ok"] is True
+    assert report["null_curve"]["path_residual"] == 1e-6
+
+
 def test_unknown_config_key_exits_5(tmp_path):
     cfg = write_config(tmp_path / "bad.json",
                        {"surface": "catenoid", "wobble": 3})

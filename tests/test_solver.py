@@ -18,7 +18,9 @@ from equimin.solver import (NewtonConfig, NewtonError, SprayError, SprayFamily,
                             build_period_spray, feasibility_check,
                             interpolate_values, newton_correct,
                             period_jacobian, validate_spray)
-from equimin.surface import ImmersionField
+from equimin.surface import (ImmersionField, PolarGrid, build_mesh,
+                             conformality_and_harmonicity,
+                             equivariance_residual_F)
 from equimin.symgroup import (Infeasible, PlaneRotationCertificate,
                               build_cyclic, orthogonal_action,
                               rotation_about_axis)
@@ -100,7 +102,9 @@ def test_spray_preserves_nullity_and_equivariance():
     rep = validate_spray(catenoid_spray())
     assert rep["nullity"] < SPRAY_INVARIANT_TOL
     assert rep["equivariance"] < SPRAY_INVARIANT_TOL
-    assert rep["outside_support"] == 0.0
+    # holomorphic integrand: no period around circles enclosing no
+    # puncture, pole or fixed point
+    assert rep["cauchy"] <= 1e-10
 
 
 def test_spray_jacobian_is_well_conditioned():
@@ -153,7 +157,7 @@ def test_flux_pinning_doubles_the_catenoid_neck():
     ps = build_path_system(data.domain, data.domain_action, data.basepoint)
     target = PeriodTarget({"loop:0": np.array([0.0, 0.0, 4 * math.pi])})
     target = target.validated(data, ps)
-    spray = build_period_spray(data, ps, flux_keys=("loop:0",))
+    spray = build_period_spray(data, ps)
     res = newton_correct(spray, target)
     assert res.converged
     from equimin.periods import compute_periods
@@ -161,15 +165,19 @@ def test_flux_pinning_doubles_the_catenoid_neck():
         res.data.domain, res.data.domain_action, res.data.basepoint))
     flux = flux_vector(pv.loop("loop:0"))
     assert np.max(np.abs(flux - [0, 0, 4 * math.pi])) < 1e-9
-    # the solution is a pure dilation of the derivative data: every bump
-    # coefficient lands exactly on zero and the global scale is log 2
-    bump = [ti for ti, s in zip(res.t, spray.slots) if not s.global_]
-    assert all(ti == 0 for ti in bump)
-    glob = [ti for ti, s in zip(res.t, spray.slots) if s.global_]
+    # the solution is a pure dilation of the derivative data: every root
+    # slot (p != 0) lands exactly on zero and the constant scale is log 2
+    root = [ti for ti, s in zip(res.t, spray.slots) if s.p != 0]
+    assert root and all(ti == 0 for ti in root)
     scales = [ti for ti, s in zip(res.t, spray.slots)
-              if s.global_ and s.generator.kind == "scaling"]
+              if s.p == 0 and s.generator.kind == "scaling"]
     assert len(scales) == 1
     assert abs(scales[0] - math.log(2)) < 1e-10
+    entry = catenoid(3)
+    grid = PolarGrid(1 / 3, 3.0, 9, 9)
+    mesh = build_mesh(ImmersionField(res.data), grid)
+    want = np.array([2 * entry.closed_form_F(z) for z in grid.points().ravel()])
+    assert np.max(np.abs(mesh.vertices - want)) < 1e-9
 
 
 def test_rank_deficient_core_is_rejected():
@@ -226,3 +234,42 @@ def test_interpolation_rejects_inconsistent_orbit_pair():
     val = np.array([0.3, -0.1, 0.2])
     with pytest.raises(ValueError):
         interpolate_values(spray, [z0, w], [val, val + 1.0])
+
+
+@pytest.mark.parametrize("perturbed", [False, True],
+                         ids=["core_start", "perturbed_start"])
+def test_interpolated_catenoid_is_harmonic_and_path_independent(perturbed):
+    # deformed data must be a minimal surface on the whole domain, not
+    # only at the marked point: FD harmonicity and two-path agreement on
+    # rings through and around z0; the perturbed start leaves the root
+    # slots non-zero
+    data = catenoid(2).data
+    ps = build_path_system(data.domain, data.domain_action, data.basepoint)
+    z0 = 1.4 + 0.3j
+    want = ImmersionField(data).evaluate(z0) + np.array([0.0, 0.0, 0.05])
+    spray, target = interpolate_values(build_period_spray(data, ps),
+                                       [z0], [want])
+    t0 = None
+    if perturbed:
+        rng = np.random.default_rng(1)
+        t0 = rng.normal(size=spray.n_slots) + 1j * rng.normal(size=spray.n_slots)
+        t0 *= 0.1 / np.linalg.norm(t0)
+    field = ImmersionField(newton_correct(spray, target, t_init=t0).data)
+    pts = [r * np.exp(1j * a) for r in (0.5, 0.9, 1.2, 1.45, 2.0)
+           for a in np.linspace(0.0, 2 * math.pi, 13, endpoint=False)]
+    fd = conformality_and_harmonicity(field, pts)
+    assert fd["harmonic_residual"] <= 1e-6
+    assert max(field.two_path_residual(z) for z in pts) <= 1e-9
+
+
+def test_perturbed_helicoid_is_equivariant_at_far_translates():
+    data = helicoid(2 * math.pi).data
+    ps = build_path_system(data.domain, data.domain_action, data.basepoint)
+    spray = build_period_spray(data, ps)
+    rng = np.random.default_rng(1)
+    t0 = rng.normal(size=spray.n_slots) + 1j * rng.normal(size=spray.n_slots)
+    t0 *= 0.1 / np.linalg.norm(t0)
+    field = ImmersionField(newton_correct(spray, t_init=t0).data)
+    rep = equivariance_residual_F(field, n_samples=16, seed=5,
+                                  powers=(1, -1, 9, -9, 50, -50))
+    assert rep["residual"] <= 1e-9
